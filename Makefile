@@ -10,7 +10,7 @@ GO ?= go
 # below this.
 COVER_FLOOR ?= 71.0
 
-.PHONY: all build vet vet-contracts lint fmt fmt-check test bench bench-json bench-gate bench-kernels bench-trend smoke shard-smoke serve-smoke coord-smoke chaos-smoke fuzz cover-check ci
+.PHONY: all build vet vet-contracts lint fmt fmt-check test bench bench-json bench-gate bench-kernels bench-trend smoke shard-smoke serve-smoke coord-smoke chaos-smoke fuzz cover-check perfbench-check ci
 
 all: build
 
@@ -259,4 +259,11 @@ cover-check:
 			printf "harness+resultstore+kernels+analyzers+coord+faultline combined coverage: %.1f%% (floor %.1f%%)\n", pct, floor; \
 			exit (pct < floor) }' coverage.out
 
-ci: build lint test serve-smoke coord-smoke chaos-smoke
+# The benchmark program (perfbench/) is a Go module of its own, so the
+# root build and tests never compile it; this vets and short-tests it
+# against the current tree, so an API rename it depends on fails here
+# rather than in the benchmark pipeline.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test -short ./...
+
+ci: build lint test perfbench-check serve-smoke coord-smoke chaos-smoke

@@ -321,16 +321,20 @@ var benchSink uint8
 // ---- sweep-engine scaling ----
 
 // benchmarkSweep runs the Table 2 recipe sweep over the reduced model
-// subset at a fixed worker count. ClearMemo before every run drops the
-// process-wide FP32 reference cache, so each worker count measures the
-// same amount of work and the scaling comparison stays valid.
+// subset (a model= filter on the table2 grid) at a fixed worker count.
+// ClearMemo before every run drops the in-process cell memo and the
+// FP32 reference cache, so each worker count measures the same amount
+// of work and the scaling comparison stays valid.
 func benchmarkSweep(b *testing.B, workers int) {
+	e, _ := harness.Get("table2")
 	harness.SetWorkers(workers)
 	defer harness.SetWorkers(0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		harness.ClearMemo()
-		_ = harness.Sweep(benchSubset)
+		if _, _, err := harness.RunGrid(e, harness.Filter{"model": benchSubset}, harness.Shard{}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -507,10 +507,10 @@ func TestCostModelRoundTrip(t *testing.T) {
 	axes := []resultstore.AxisValue{{Axis: "model", Value: "bloom_176b"}, {Axis: "recipe", Value: "E4M3"}}
 	m.Observe("f1", axes, 800*time.Millisecond)
 	m.Observe("f1", axes, 400*time.Millisecond)
-	if err := m.Persist(store, CostSidecarName); err != nil {
+	if err := m.Persist(store); err != nil {
 		t.Fatal(err)
 	}
-	got := LoadCostModel(store, CostSidecarName)
+	got := LoadCostModel(store)
 	if got.Observations() != 2 {
 		t.Fatalf("loaded observations = %d, want 2", got.Observations())
 	}
@@ -538,7 +538,7 @@ func TestCostModelRoundTrip(t *testing.T) {
 	if err := store.SaveSidecar(CostSidecarName, []byte("not json")); err != nil {
 		t.Fatal(err)
 	}
-	if m := LoadCostModel(store, CostSidecarName); m.Observations() != 0 {
+	if m := LoadCostModel(store); m.Observations() != 0 {
 		t.Fatal("corrupt sidecar should load as an empty model")
 	}
 }
@@ -655,7 +655,7 @@ func TestGracefulDrain(t *testing.T) {
 	}
 	// The cost model persisted through the push: a fresh load sees the
 	// observation.
-	if m := LoadCostModel(store, CostSidecarName); m.Observations() != 1 {
+	if m := LoadCostModel(store); m.Observations() != 1 {
 		t.Fatalf("persisted cost observations = %d, want 1", m.Observations())
 	}
 }

@@ -26,7 +26,7 @@ import (
 	"fp8quant/internal/resultstore"
 )
 
-// CostSidecarName is the default sidecar file the model persists to.
+// CostSidecarName is the store sidecar file the model persists to.
 const CostSidecarName = "costmodel.json"
 
 // costSchemaVersion guards the sidecar layout; entries from other
@@ -143,9 +143,9 @@ type costSidecar struct {
 	All    CostEntry            `json:"all"`
 }
 
-// Persist writes the model to the store as a sidecar via the atomic
-// temp+rename path.
-func (m *CostModel) Persist(s *resultstore.Store, name string) error {
+// Persist writes the model to the store's CostSidecarName sidecar via
+// the atomic temp+rename path.
+func (m *CostModel) Persist(s *resultstore.Store) error {
 	m.mu.Lock()
 	sc := costSidecar{
 		Schema: costSchemaVersion,
@@ -164,15 +164,16 @@ func (m *CostModel) Persist(s *resultstore.Store, name string) error {
 	if err != nil {
 		return fmt.Errorf("coord: %w", err)
 	}
-	return s.SaveSidecar(name, b)
+	return s.SaveSidecar(CostSidecarName, b)
 }
 
-// LoadCostModel reads a persisted model from the store sidecar. An
+// LoadCostModel reads a persisted model from the store's
+// CostSidecarName sidecar. An
 // absent, corrupt or schema-stale sidecar yields an empty model — the
 // cost model is an optimization, never a correctness dependency.
-func LoadCostModel(s *resultstore.Store, name string) *CostModel {
+func LoadCostModel(s *resultstore.Store) *CostModel {
 	m := NewCostModel()
-	b, ok := s.LoadSidecar(name)
+	b, ok := s.LoadSidecar(CostSidecarName)
 	if !ok {
 		return m
 	}

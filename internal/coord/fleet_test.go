@@ -112,7 +112,7 @@ func TestWorkersEndpoint(t *testing.T) {
 }
 
 // TestStaleWorkerLeasesExpireEarly is the heartbeat payoff: a
-// registered worker that goes silent past StaleAfter has its leases
+// registered worker that goes silent past 3×Heartbeat has its leases
 // reaped immediately — long before the lease TTL — while a worker that
 // never registered (no heartbeat promise) keeps the plain TTL.
 func TestStaleWorkerLeasesExpireEarly(t *testing.T) {
@@ -125,7 +125,7 @@ func TestStaleWorkerLeasesExpireEarly(t *testing.T) {
 
 	c := newTestCoord(t, Config{
 		Experiments: []harness.Experiment{e}, Store: openStore(t),
-		LeaseTTL: time.Hour, Heartbeat: 30 * time.Second, // StaleAfter = 90s
+		LeaseTTL: time.Hour, Heartbeat: 30 * time.Second, // stale after 3×Heartbeat = 90s
 		Clock: clock,
 	})
 	c.hello(WorkerHello{Worker: "beating"})
@@ -136,16 +136,16 @@ func TestStaleWorkerLeasesExpireEarly(t *testing.T) {
 		t.Fatalf("unregistered lease = %q", lr.Status)
 	}
 
-	// Within StaleAfter nothing expires.
+	// Within 3×Heartbeat nothing expires.
 	advance(60 * time.Second)
 	c.Reap()
 	if n := c.ActiveLeases(); n != 2 {
 		t.Fatalf("leases after 60s = %d, want 2", n)
 	}
 
-	// Past StaleAfter the silent registered worker's lease expires; the
+	// Past 3×Heartbeat the silent registered worker's lease expires; the
 	// unregistered worker keeps its TTL.
-	advance(60 * time.Second) // 120s silent > 90s StaleAfter, << 1h TTL
+	advance(60 * time.Second) // 120s silent > 90s stale window, << 1h TTL
 	view := c.Workers()
 	if !view.Workers[0].Stale || view.Workers[1].Stale {
 		t.Fatalf("staleness = %+v, want only 'beating' stale", view.Workers)
@@ -160,7 +160,7 @@ func TestStaleWorkerLeasesExpireEarly(t *testing.T) {
 	}
 
 	// A heartbeat un-stales: hello again, lease again, stay within
-	// StaleAfter of the last hello — the lease survives reaping.
+	// 3×Heartbeat of the last hello — the lease survives reaping.
 	c.hello(WorkerHello{Worker: "beating"})
 	if lr := c.lease("beating"); lr.Status != StatusLease {
 		t.Fatalf("re-lease after heartbeat = %q", lr.Status)

@@ -34,6 +34,10 @@ import (
 	"fp8quant/internal/resultstore"
 )
 
+// waitRetry is the retry hint handed to workers when every pending
+// cell is leased out.
+const waitRetry = time.Second
+
 // Config configures a Coordinator.
 type Config struct {
 	// Experiments are the grid experiments to schedule. Scalar (axis-
@@ -50,25 +54,17 @@ type Config struct {
 	// expires and the cell requeues. Default 5m — generous against the
 	// zoo's slowest cells, small against a lost shard.
 	LeaseTTL time.Duration
-	// CostSidecar names the cost-model sidecar file in the store.
-	// Default CostSidecarName.
-	CostSidecar string
 	// MaxExpiries bounds how often one cell may time out before it is
 	// declared failed (a cell that keeps killing workers should stop
 	// the sweep from spinning). Default 3.
 	MaxExpiries int
-	// WaitRetry is the retry hint handed to workers when every pending
-	// cell is leased out. Default 1s.
-	WaitRetry time.Duration
 	// Heartbeat is how often registered workers are asked to re-hello
-	// (sent back in WorkerAck). Default 15s.
+	// (sent back in WorkerAck). Default 15s. A registered worker silent
+	// for 3×Heartbeat is declared stale and its leases expire early — a
+	// crashed worker then costs one missed heartbeat window instead of
+	// a full lease TTL. Workers that never sent a hello (no heartbeat
+	// loop) keep the plain TTL.
 	Heartbeat time.Duration
-	// StaleAfter is how long a *registered* worker may be silent before
-	// it is declared stale and its leases expire early — a crashed
-	// worker then costs one missed heartbeat window instead of a full
-	// lease TTL. Workers that never sent a hello (no heartbeat loop)
-	// keep the plain TTL. Default 3×Heartbeat.
-	StaleAfter time.Duration
 	// Clock injects time for tests. Default time.Now.
 	Clock func() time.Time
 }
@@ -118,27 +114,18 @@ func New(cfg Config) (*Coordinator, error) {
 	if cfg.LeaseTTL <= 0 {
 		cfg.LeaseTTL = 5 * time.Minute
 	}
-	if cfg.CostSidecar == "" {
-		cfg.CostSidecar = CostSidecarName
-	}
 	if cfg.MaxExpiries <= 0 {
 		cfg.MaxExpiries = 3
 	}
-	if cfg.WaitRetry <= 0 {
-		cfg.WaitRetry = time.Second
-	}
 	if cfg.Heartbeat <= 0 {
 		cfg.Heartbeat = 15 * time.Second
-	}
-	if cfg.StaleAfter <= 0 {
-		cfg.StaleAfter = 3 * cfg.Heartbeat
 	}
 	if cfg.Clock == nil {
 		cfg.Clock = time.Now
 	}
 	c := &Coordinator{
 		cfg:     cfg,
-		cost:    LoadCostModel(cfg.Store, cfg.CostSidecar),
+		cost:    LoadCostModel(cfg.Store),
 		items:   map[string]*workItem{},
 		specs:   map[string]harness.GridSpec{},
 		leases:  map[string]*leaseRec{},
@@ -292,7 +279,7 @@ func (c *Coordinator) checkCompleteLocked() {
 // reapLocked expires overdue leases: the cell requeues (or fails after
 // MaxExpiries timeouts), so a crashed worker costs one timeout.
 // Leases held by a registered worker that has gone stale (silent past
-// StaleAfter) expire early — the heartbeat's whole point — while
+// 3×Heartbeat) expire early — the heartbeat's whole point — while
 // unregistered workers keep the plain TTL. Leases are processed in
 // sorted id order so requeue order (and any resulting failure
 // messages) is deterministic.
@@ -339,11 +326,11 @@ func (c *Coordinator) Reap() {
 }
 
 // workerStaleLocked reports whether a registered worker has been
-// silent past StaleAfter. Workers known only from lease/push traffic
+// silent past 3×Heartbeat. Workers known only from lease/push traffic
 // never go stale — they did not promise heartbeats.
 func (c *Coordinator) workerStaleLocked(name string, now time.Time) bool {
 	rec, ok := c.workers[name]
-	return ok && rec.registered && now.Sub(rec.lastSeen) > c.cfg.StaleAfter
+	return ok && rec.registered && now.Sub(rec.lastSeen) > 3*c.cfg.Heartbeat
 }
 
 // touchWorkerLocked records traffic from a worker, creating an
@@ -422,7 +409,7 @@ func (c *Coordinator) ActiveLeases() int {
 
 // PersistCost writes the learned cost model to its store sidecar.
 func (c *Coordinator) PersistCost() error {
-	return c.cost.Persist(c.cfg.Store, c.cfg.CostSidecar)
+	return c.cost.Persist(c.cfg.Store)
 }
 
 // Cost exposes the learned model (estimates drive lease order; tests
@@ -492,7 +479,7 @@ func (c *Coordinator) lease(worker string) LeaseResponse {
 		return LeaseResponse{Status: StatusDraining}
 	}
 	if len(c.pending) == 0 {
-		return LeaseResponse{Status: StatusWait, RetryMs: c.cfg.WaitRetry.Milliseconds()}
+		return LeaseResponse{Status: StatusWait, RetryMs: waitRetry.Milliseconds()}
 	}
 	if c.dirty {
 		sortPending(c.pending, c.cost)
@@ -583,7 +570,7 @@ func (c *Coordinator) push(req PushRequest) (PushResponse, int, string) {
 		c.cost.Observe(req.Fingerprint, it.axes, time.Duration(req.DurationMs*float64(time.Millisecond)))
 		// Persist opportunistically so a killed coordinator keeps its
 		// learning; the write is atomic and tiny.
-		_ = c.cost.Persist(c.cfg.Store, c.cfg.CostSidecar)
+		_ = c.cost.Persist(c.cfg.Store)
 		c.dirty = true
 	}
 	if status == resultstore.IngestIdentical {

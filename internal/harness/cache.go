@@ -41,17 +41,16 @@ func Store() *resultstore.Store {
 	return store
 }
 
-// ClearMemo drops every in-process cache — the cell memo, the
-// per-model FP32 reference cache, and the fig6/table4 generation
-// references (the disk store is untouched). Tests use it to simulate a
-// process boundary and force store round trips; long-lived embedders
-// can use it to release sweep memory.
+// ClearMemo drops every in-process cache — the cell memo and the
+// reference cache (per-model FP32 references and the fig6/table4
+// generation references); the disk store is untouched. Tests use it to
+// simulate a process boundary and force store round trips; long-lived
+// embedders can use it to release sweep memory.
 func ClearMemo() {
 	cacheMu.Lock()
 	memo = map[string]evalx.Result{}
 	cacheMu.Unlock()
 	clearRefs()
-	clearGenRefs()
 }
 
 // lookupCell returns the cell's result if the memo or the store
@@ -76,35 +75,18 @@ func lookupCell(k resultstore.CellKey) (evalx.Result, bool) {
 	return evalx.Result{}, false
 }
 
-// cachedCell returns the result for the cell key, trying the
-// in-process memo, then the disk store, then computing it (and
-// persisting the result). Errored cells (Err != "") are memoized for
-// the process but never persisted — a deterministic failure is cheap
-// to re-derive and must not outlive the code that caused it.
-// Concurrent callers with the same key may compute twice; both arrive
-// at identical results, so last-write-wins is safe.
-func cachedCell(k resultstore.CellKey, compute func() evalx.Result) evalx.Result {
-	r, _ := cachedCellFresh(k, compute)
-	return r
-}
-
-// cachedCellFresh is cachedCell plus a flag reporting whether the cell
-// was computed fresh rather than served from a cache layer — the
-// provenance signal: only fresh cells carry the current kernel
-// variant's bits into the store.
+// cachedCellFresh returns the result for the cell key, trying the
+// in-process memo, then the disk store (one lookupCell), then
+// computing it (and persisting the result). The flag reports whether
+// the cell was computed fresh rather than served from a cache layer —
+// the provenance signal: only fresh cells carry the current kernel
+// variant's bits into the store. Errored cells (Err != "") are
+// memoized for the process but never persisted — a deterministic
+// failure is cheap to re-derive and must not outlive the code that
+// caused it. Concurrent callers with the same key may compute twice;
+// both arrive at identical results, so last-write-wins is safe.
 func cachedCellFresh(k resultstore.CellKey, compute func() evalx.Result) (evalx.Result, bool) {
-	fp := k.Fingerprint()
-	cacheMu.Lock()
-	r, ok := memo[fp]
-	s := store
-	cacheMu.Unlock()
-	if ok {
-		return r, false
-	}
-	if r, ok := s.LoadCell(k); ok {
-		cacheMu.Lock()
-		memo[fp] = r
-		cacheMu.Unlock()
+	if r, ok := lookupCell(k); ok {
 		return r, false
 	}
 	// A compute-side failpoint for chaos runs: delay and crash rules act
@@ -113,11 +95,11 @@ func cachedCellFresh(k resultstore.CellKey, compute func() evalx.Result) (evalx.
 	// may slow, kill or un-persist a cell, never change its value (and
 	// the coordinator treats reported cell failures as permanent).
 	_ = faultline.Hit("harness.cell.compute")
-	r = compute()
+	r := compute()
 	if r.Err == "" {
 		err := faultline.Hit("harness.cell.persist")
 		if err == nil {
-			err = s.SaveCell(k, r)
+			err = Store().SaveCell(k, r)
 		}
 		if err != nil {
 			// A failed persist (full/unwritable cache dir) must not go
@@ -126,7 +108,7 @@ func cachedCellFresh(k resultstore.CellKey, compute func() evalx.Result) (evalx.
 		}
 	}
 	cacheMu.Lock()
-	memo[fp] = r
+	memo[k.Fingerprint()] = r
 	cacheMu.Unlock()
 	return r, true
 }

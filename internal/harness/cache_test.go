@@ -3,6 +3,8 @@ package harness
 import (
 	"errors"
 	"reflect"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"fp8quant/internal/evalx"
@@ -47,10 +49,13 @@ func TestCachedCellMemoizes(t *testing.T) {
 	computes := 0
 	compute := func() evalx.Result { computes++; return cellTestResult("m1") }
 	k := cellTestKey("m1")
-	r1 := cachedCell(k, compute)
-	r2 := cachedCell(k, compute)
+	r1, fresh1 := cachedCellFresh(k, compute)
+	r2, fresh2 := cachedCellFresh(k, compute)
 	if computes != 1 {
 		t.Fatalf("computed %d times, want 1", computes)
+	}
+	if !fresh1 || fresh2 {
+		t.Errorf("fresh flags = %v, %v; want true, false", fresh1, fresh2)
 	}
 	if !reflect.DeepEqual(r1, r2) {
 		t.Error("second call should return the memoized result")
@@ -70,10 +75,10 @@ func TestCachedCellPersistsAcrossProcesses(t *testing.T) {
 	computes := 0
 	compute := func() evalx.Result { computes++; return cellTestResult("m1") }
 	k := cellTestKey("m1")
-	first := cachedCell(k, compute)
+	first, _ := cachedCellFresh(k, compute)
 
 	ClearMemo() // process boundary
-	second := cachedCell(k, compute)
+	second, _ := cachedCellFresh(k, compute)
 	if computes != 1 {
 		t.Fatalf("computed %d times, want 1 (second run must hit the store)", computes)
 	}
@@ -94,8 +99,8 @@ func TestCachedCellDistinctKeys(t *testing.T) {
 	compute := func() evalx.Result { computes++; return cellTestResult("m1") }
 	k2 := cellTestKey("m1")
 	k2.Seed = 7
-	cachedCell(cellTestKey("m1"), compute)
-	cachedCell(k2, compute)
+	cachedCellFresh(cellTestKey("m1"), compute)
+	cachedCellFresh(k2, compute)
 	if computes != 2 {
 		t.Fatalf("distinct keys computed %d times, want 2", computes)
 	}
@@ -117,8 +122,8 @@ func TestCachedCellErrNotPersisted(t *testing.T) {
 		return evalx.Failed("m1", "r1", errors.New("build failed"))
 	}
 	k := cellTestKey("m1")
-	cachedCell(k, compute)
-	cachedCell(k, compute) // memoized within the process
+	cachedCellFresh(k, compute)
+	cachedCellFresh(k, compute) // memoized within the process
 	if computes != 1 {
 		t.Fatalf("computed %d times before the boundary, want 1", computes)
 	}
@@ -126,8 +131,44 @@ func TestCachedCellErrNotPersisted(t *testing.T) {
 		t.Errorf("errored cell was persisted: %+v", st)
 	}
 	ClearMemo() // process boundary
-	cachedCell(k, compute)
+	cachedCellFresh(k, compute)
 	if computes != 2 {
 		t.Fatalf("errored cell not recomputed after process boundary: %d computes", computes)
+	}
+}
+
+// TestCachedRefComputesOnce checks the compute-once reference cache:
+// concurrent callers of one key share a single computation, distinct
+// keys never share a value, and ClearMemo drops every entry.
+func TestCachedRefComputesOnce(t *testing.T) {
+	withCleanCache(t)
+	var computes atomic.Int64
+	compute := func() []int { computes.Add(1); return []int{1, 2, 3} }
+	got := make([][]int, 8)
+	var wg sync.WaitGroup
+	wg.Add(len(got))
+	for i := range got {
+		go func(i int) {
+			defer wg.Done()
+			got[i] = cachedRef("test/shared", compute)
+		}(i)
+	}
+	wg.Wait()
+	if n := computes.Load(); n != 1 {
+		t.Fatalf("%d concurrent callers computed %d times, want 1", len(got), n)
+	}
+	for i := range got {
+		if &got[i][0] != &got[0][0] {
+			t.Fatalf("caller %d got a different value than caller 0", i)
+		}
+	}
+	cachedRef("test/other", compute)
+	if n := computes.Load(); n != 2 {
+		t.Fatalf("a distinct key computed %d times in total, want 2", n)
+	}
+	ClearMemo()
+	cachedRef("test/shared", compute)
+	if n := computes.Load(); n != 3 {
+		t.Fatalf("after ClearMemo: %d computes in total, want 3", n)
 	}
 }

@@ -58,6 +58,7 @@ func TestFig6DeterministicAcrossWorkers(t *testing.T) {
 	if len(serial.Values) == 0 {
 		t.Fatal("fig6 produced no values")
 	}
+	checkGolden(t, "fig6", serial)
 }
 
 // TestTable4DeterministicAcrossWorkers does the same for the Bloom
@@ -73,6 +74,7 @@ func TestTable4DeterministicAcrossWorkers(t *testing.T) {
 	if len(serial.Values) == 0 {
 		t.Fatal("table4 produced no values")
 	}
+	checkGolden(t, "table4", serial)
 }
 
 // TestAblationsDeterministicAcrossWorkers covers the smaller grids that

@@ -140,16 +140,10 @@ func ComputeCell(e Experiment, idx int) (resultstore.CellKey, evalx.Result, bool
 	}
 	c := spec.CellAt(idx)
 	k := spec.CellKey(c)
-	if r, ok := lookupCell(k); ok {
-		return k, r, false
-	}
-	// A concurrent computation of the same cell between the lookup and
-	// here just means cachedCell returns the (identical) memoized
-	// result; reporting it as fresh is harmless — the duration is real.
-	r, _ := cachedCellFresh(k, func() evalx.Result {
+	r, fresh := cachedCellFresh(k, func() evalx.Result {
 		return runCellSafe(e, spec, c)
 	})
-	return k, r, true
+	return k, r, fresh
 }
 
 // runCellSafe converts a RunCell panic into an Err-marked result.

@@ -384,3 +384,38 @@ func TestSharedGridExperimentsShareCells(t *testing.T) {
 		t.Error("table2/fig4/fig5 should share cell fingerprints")
 	}
 }
+
+// TestComputeCellCountsOneMissPerCell pins the coordinator worker's
+// store traffic: a cold ComputeCell looks the cell up once (one miss,
+// one write, fresh), and after a process boundary a warm call is one
+// hit reported as not fresh.
+func TestComputeCellCountsOneMissPerCell(t *testing.T) {
+	withCleanCache(t)
+	s, err := resultstore.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	SetStore(s)
+	e, computes := newExecTestExp()
+	n := e.Spec().NumCells()
+	for i := 0; i < n; i++ {
+		if _, _, fresh := ComputeCell(e, i); !fresh {
+			t.Fatalf("cold cell %d reported as cached", i)
+		}
+	}
+	if st := s.Stats(); st.Misses != int64(n) || st.Writes != int64(n) || st.Hits != 0 {
+		t.Fatalf("cold store stats = %+v, want %d misses / %d writes / 0 hits", st, n, n)
+	}
+	ClearMemo() // process boundary
+	for i := 0; i < n; i++ {
+		if _, _, fresh := ComputeCell(e, i); fresh {
+			t.Fatalf("warm cell %d reported as fresh", i)
+		}
+	}
+	if st := s.Stats(); st.Hits != int64(n) || st.Misses != int64(n) || st.Writes != int64(n) {
+		t.Fatalf("warm store stats = %+v, want %d hits on top of the cold run", st, n)
+	}
+	if got := computes.Load(); got != int64(n) {
+		t.Fatalf("computed %d cells, want %d", got, n)
+	}
+}

@@ -22,17 +22,43 @@ func init() {
 	registerGrid("firstlast", "Section 4.3.1: quantizing first and last operators", firstLastSpec, runFirstLastCell, renderFirstLast)
 }
 
-// ---- the shared Table-2 sweep grid (table2, fig4, fig5) ----
+// ---- the model x recipe cell shared by every accuracy grid ----
 
-// sweepRecipes pairs each Table 2 column label with its recipe
-// constructor in one slice — the label becomes part of the persisted
-// cell identity, so label and recipe must be impossible to reorder
-// independently. The INT8 column follows the paper: static on CV,
-// dynamic on NLP-like workloads.
-var sweepRecipes = []struct {
+// labeledRecipe pairs a grid column label with its recipe constructor
+// in one value: the label becomes part of the persisted cell identity,
+// so label and recipe must be impossible to reorder independently.
+type labeledRecipe struct {
 	label  string
 	recipe func(net *models.Network) quant.Recipe
-}{
+}
+
+// recipeLabels projects the label column of a recipe list.
+func recipeLabels(rs []labeledRecipe) []string {
+	out := make([]string, len(rs))
+	for i, r := range rs {
+		out[i] = r.label
+	}
+	return out
+}
+
+// evalModelCell evaluates one model x recipe cell: a freshly built
+// network under a pooled execution plan, quantized with the recipe and
+// judged against the model's FP32 reference. A model that fails to
+// build yields an Err result labeled failLabel.
+func evalModelCell(name, failLabel string, recipe func(net *models.Network) quant.Recipe) evalx.Result {
+	net, err := models.Build(name)
+	if err != nil {
+		return evalx.Failed(name, failLabel, err)
+	}
+	defer withPlan(name, net)()
+	return evalx.EvaluateWithRef(net, recipe(net), true, modelRef(name, net))
+}
+
+// ---- the shared Table-2 sweep grid (table2, fig4, fig5) ----
+
+// sweepRecipes are the Table 2 columns. The INT8 column follows the
+// paper: static on CV, dynamic on NLP-like workloads.
+var sweepRecipes = []labeledRecipe{
 	{"E5M2 Direct", func(*models.Network) quant.Recipe { return quant.StandardFP8(quant.E5M2) }},
 	{"E4M3 Static", func(*models.Network) quant.Recipe { return quant.StandardFP8(quant.E4M3) }},
 	{"E4M3 Dynamic", func(*models.Network) quant.Recipe { return quant.DynamicFP8(quant.E4M3) }},
@@ -44,18 +70,6 @@ var sweepRecipes = []struct {
 }
 
 var table2Labels = recipeLabels(sweepRecipes)
-
-// recipeLabels projects the label column of a label+constructor slice.
-func recipeLabels(rs []struct {
-	label  string
-	recipe func(net *models.Network) quant.Recipe
-}) []string {
-	out := make([]string, len(rs))
-	for i, r := range rs {
-		out[i] = r.label
-	}
-	return out
-}
 
 // sweepSpecFor declares the Table-2-recipe sweep over the named
 // models. Model weights derive from per-name seeds, so the
@@ -77,13 +91,7 @@ func sweepSpec() GridSpec { return sweepSpecFor(models.Names()) }
 
 // runSweepCell evaluates one (model, recipe) cell of the sweep.
 func runSweepCell(c Cell) evalx.Result {
-	name, ri := c.Values[0], c.Coords[1]
-	net, err := models.Build(name)
-	if err != nil {
-		return evalx.Failed(name, c.Values[1], err)
-	}
-	defer withPlan(name, net)()
-	return evalx.EvaluateWithRef(net, sweepRecipes[ri].recipe(net), true, modelRef(name, net))
+	return evalModelCell(c.Values[0], c.Values[1], sweepRecipes[c.Coords[1]].recipe)
 }
 
 // gridColumn returns the evaluable results of one recipe column,
@@ -185,12 +193,8 @@ var table3Models = []string{
 	"bloom_7b1", "bloom_176b", "llama_65b",
 }
 
-// table3Recipes pairs column labels with recipe constructors (see
-// sweepRecipes on why they live in one slice).
-var table3Recipes = []struct {
-	label  string
-	recipe func(net *models.Network) quant.Recipe
-}{
+// table3Recipes are the Table 3 columns.
+var table3Recipes = []labeledRecipe{
 	{"E5M2", func(*models.Network) quant.Recipe { return quant.StandardFP8(quant.E5M2) }},
 	{"E4M3", func(*models.Network) quant.Recipe { return quant.StandardFP8(quant.E4M3) }},
 	{"E3M4", func(*models.Network) quant.Recipe { return quant.StandardFP8(quant.E3M4) }},
@@ -210,13 +214,7 @@ func table3Spec() GridSpec {
 }
 
 func runTable3Cell(c Cell) evalx.Result {
-	name, ri := c.Values[0], c.Coords[1]
-	net, err := models.Build(name)
-	if err != nil {
-		return evalx.Failed(name, c.Values[1], err)
-	}
-	defer withPlan(name, net)()
-	return evalx.EvaluateWithRef(net, table3Recipes[ri].recipe(net), true, modelRef(name, net))
+	return evalModelCell(c.Values[0], c.Values[1], table3Recipes[c.Coords[1]].recipe)
 }
 
 func renderTable3(g *Grid) *Report {
@@ -366,12 +364,8 @@ func evaluateBNConfig(net *models.Network, ds data.Dataset, r quant.Recipe, ref 
 // table5Models are the mixed-format study models of Table 5.
 var table5Models = []string{"bert_base_mrpc", "bert_large_rte", "funnel_mrpc", "longformer_mrpc"}
 
-// table5Recipes pairs column labels with recipe constructors (see
-// sweepRecipes on why they live in one slice).
-var table5Recipes = []struct {
-	label  string
-	recipe func(net *models.Network) quant.Recipe
-}{
+// table5Recipes are the Table 5 columns.
+var table5Recipes = []labeledRecipe{
 	{"E5M2", func(*models.Network) quant.Recipe { return quant.StandardFP8(quant.E5M2) }},
 	{"E4M3", func(*models.Network) quant.Recipe { return quant.StandardFP8(quant.E4M3) }},
 	{"E3M4", func(*models.Network) quant.Recipe { return quant.StandardFP8(quant.E3M4) }},
@@ -389,13 +383,7 @@ func table5Spec() GridSpec {
 }
 
 func runTable5Cell(c Cell) evalx.Result {
-	name, ri := c.Values[0], c.Coords[1]
-	net, err := models.Build(name)
-	if err != nil {
-		return evalx.Failed(name, c.Values[1], err)
-	}
-	defer withPlan(name, net)()
-	return evalx.EvaluateWithRef(net, table5Recipes[ri].recipe(net), true, modelRef(name, net))
+	return evalModelCell(c.Values[0], c.Values[1], table5Recipes[c.Coords[1]].recipe)
 }
 
 func renderTable5(g *Grid) *Report {
@@ -458,18 +446,12 @@ func table6Spec() GridSpec {
 
 func runTable6Cell(c Cell) evalx.Result {
 	cs := table6Cases[c.Coords[0]]
-	net, err := models.Build(cs.model)
-	if err != nil {
-		return evalx.Failed(cs.model, c.Values[1], err)
-	}
-	defer withPlan(cs.model, net)()
-	var r quant.Recipe
-	if c.Coords[1] == 0 {
-		r = quant.DynamicFP8(cs.format)
-	} else {
-		r = quant.StandardFP8(cs.format)
-	}
-	return evalx.EvaluateWithRef(net, r, true, modelRef(cs.model, net))
+	return evalModelCell(cs.model, c.Values[1], func(*models.Network) quant.Recipe {
+		if c.Coords[1] == 0 {
+			return quant.DynamicFP8(cs.format)
+		}
+		return quant.StandardFP8(cs.format)
+	})
 }
 
 func renderTable6(g *Grid) *Report {
@@ -555,15 +537,9 @@ func fig9Spec() GridSpec {
 	return GridSpec{ID: "fig9", Axes: []Axis{{Name: "config", Values: vals}}}
 }
 
-func runFig9Cell(c Cell) evalx.Result {
-	groups := fig9Groups()
-	g := groups[c.Index/fig9GroupSize]
-	name := g.names[c.Index%fig9GroupSize]
-	net, err := models.Build(name)
-	if err != nil {
-		return evalx.Failed(name, g.label, err)
-	}
-	defer withPlan(name, net)()
+// recipe is the group's quantization recipe: standard FP8, plus the
+// first/last ops on CV or the extended operator coverage on NLP.
+func (g fig9Group) recipe(*models.Network) quant.Recipe {
 	r := quant.StandardFP8(g.format)
 	if g.altOps {
 		if g.domain == "CV" {
@@ -572,7 +548,12 @@ func runFig9Cell(c Cell) evalx.Result {
 			r = r.WithExtendedOps()
 		}
 	}
-	return evalx.EvaluateWithRef(net, r, true, modelRef(name, net))
+	return r
+}
+
+func runFig9Cell(c Cell) evalx.Result {
+	g := fig9Groups()[c.Index/fig9GroupSize]
+	return evalModelCell(g.names[c.Index%fig9GroupSize], g.label, g.recipe)
 }
 
 func renderFig9(g *Grid) *Report {
@@ -629,17 +610,13 @@ func firstLastSpec() GridSpec {
 }
 
 func runFirstLastCell(c Cell) evalx.Result {
-	name := c.Values[2]
-	net, err := models.Build(name)
-	if err != nil {
-		return evalx.Failed(name, c.Values[0]+" "+c.Values[1], err)
-	}
-	defer withPlan(name, net)()
-	r := quant.StandardFP8(firstLastFormats[c.Coords[0]])
-	if c.Coords[1] == 1 {
-		r = r.WithFirstLast()
-	}
-	return evalx.EvaluateWithRef(net, r, true, modelRef(name, net))
+	return evalModelCell(c.Values[2], c.Values[0]+" "+c.Values[1], func(*models.Network) quant.Recipe {
+		r := quant.StandardFP8(firstLastFormats[c.Coords[0]])
+		if c.Coords[1] == 1 {
+			r = r.WithFirstLast()
+		}
+		return r
+	})
 }
 
 func renderFirstLast(g *Grid) *Report {

@@ -38,20 +38,20 @@ func TestPersistFailpointDegradesToWarning(t *testing.T) {
 	k := cellTestKey("fault-persist")
 	want := cellTestResult("fault-persist")
 	compute := func() evalx.Result { computes++; return want }
-	if r := cachedCell(k, compute); r.QAcc != want.QAcc {
+	if r, _ := cachedCellFresh(k, compute); r.QAcc != want.QAcc {
 		t.Fatalf("faulted persist changed the result: %+v", r)
 	}
 	if _, ok := s.LoadCell(k); ok {
 		t.Fatal("cell persisted despite the injected persist fault")
 	}
 	// The memo still serves it within the process.
-	if cachedCell(k, compute); computes != 1 {
+	if cachedCellFresh(k, compute); computes != 1 {
 		t.Fatalf("memo did not serve the un-persisted cell (computes = %d)", computes)
 	}
 	// A new "process" recomputes (the persist was lost — that is the
 	// injected failure) and, with the budget spent, persists this time.
 	ClearMemo()
-	if cachedCell(k, compute); computes != 2 {
+	if cachedCellFresh(k, compute); computes != 2 {
 		t.Fatalf("recompute after lost persist: computes = %d, want 2", computes)
 	}
 	if _, ok := s.LoadCell(k); !ok {
@@ -67,7 +67,7 @@ func TestComputeFailpointNeverChangesValues(t *testing.T) {
 	armHarness(t, "harness.cell.compute", faultline.KindErr)
 	k := cellTestKey("fault-compute")
 	want := cellTestResult("fault-compute")
-	r := cachedCell(k, func() evalx.Result { return want })
+	r, _ := cachedCellFresh(k, func() evalx.Result { return want })
 	if r.Err != "" || r.QAcc != want.QAcc {
 		t.Fatalf("injected compute error leaked into the result: %+v", r)
 	}

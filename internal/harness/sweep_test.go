@@ -21,23 +21,6 @@ func TestForEachCellCoversAllIndices(t *testing.T) {
 	SetWorkers(0)
 }
 
-func TestCollectCellsDeterministicOrder(t *testing.T) {
-	want := make([]int, 500)
-	for i := range want {
-		want[i] = i * i
-	}
-	for _, workers := range []int{1, 3, 16} {
-		SetWorkers(workers)
-		got := collectCells(len(want), func(i int) int { return i * i })
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("workers=%d: slot %d = %d, want %d", workers, i, got[i], want[i])
-			}
-		}
-	}
-	SetWorkers(0)
-}
-
 func TestSetWorkersBounds(t *testing.T) {
 	SetWorkers(3)
 	if Workers() != 3 {

@@ -125,37 +125,24 @@ func (c *Conv2d) forwardInto(a *tensor.Arena, y, x *tensor.Tensor, n, h, w, oh, 
 		return
 	}
 
+	// The buffer source is the only difference between the two paths:
+	// the arena path carves its buffers and runs the GEMMs serially
+	// (plan-per-worker parallelism); the heap path borrows pooled
+	// scratch and lets the GEMMs fan out.
+	var patches, scratch, panel []float32
 	if a != nil {
-		// Arena path: same buffers, same GEMMs, carved instead of
-		// pooled, run serially (plan-per-worker parallelism).
-		patches := a.Alloc(npix * kdim)
-		scratch := a.Alloc(npix * ocg)
-		panel := a.Alloc(kernels.PanelFloats(kdim, ocg))
-		for g := 0; g < c.Groups; g++ {
-			var bias []float32
-			if c.B != nil {
-				bias = c.B[g*ocg : (g+1)*ocg]
-			}
-			wg := c.W.Data[g*ocg*kdim : (g+1)*ocg*kdim]
-			kernels.PackTInto(panel, wg, kdim, ocg)
-			for ni := 0; ni < n; ni++ {
-				c.im2col(patches, x, ni, g, h, w, y0, y1, x0, x1)
-				kernels.GemmPacked(scratch, patches, panel, npix, kdim, ocg,
-					kernels.Opt{Bias: bias, Prologue: true, Serial: true, NoFused: true})
-				c.scatter(y, scratch, ni, g, oh, ow, y0, y1, x0, x1)
-			}
-		}
-		if y1-y0 < oh || x1-x0 < ow {
-			c.forwardBorder(y, x, n, h, w, oh, ow, y0, y1, x0, x1)
-		}
-		return
+		patches = a.Alloc(npix * kdim)
+		scratch = a.Alloc(npix * ocg)
+		panel = a.Alloc(kernels.PanelFloats(kdim, ocg))
+	} else {
+		pp := kernels.GetScratch(npix * kdim)
+		ps := kernels.GetScratch(npix * ocg)
+		pw := kernels.GetScratch(kernels.PanelFloats(kdim, ocg))
+		defer kernels.PutScratch(pp)
+		defer kernels.PutScratch(ps)
+		defer kernels.PutScratch(pw)
+		patches, scratch, panel = *pp, *ps, *pw
 	}
-
-	patches := kernels.GetScratch(npix * kdim)
-	scratch := kernels.GetScratch(npix * ocg)
-	defer kernels.PutScratch(patches)
-	defer kernels.PutScratch(scratch)
-
 	for g := 0; g < c.Groups; g++ {
 		var bias []float32
 		if c.B != nil {
@@ -164,16 +151,15 @@ func (c *Conv2d) forwardInto(a *tensor.Arena, y, x *tensor.Tensor, n, h, w, oh, 
 		// Pack the group's weight panel once and reuse it across the
 		// batch; the per-sample GEMM runs against the packed form.
 		wg := c.W.Data[g*ocg*kdim : (g+1)*ocg*kdim]
-		panel := kernels.PackT(wg, kdim, ocg)
+		kernels.PackTInto(panel, wg, kdim, ocg)
 		for ni := 0; ni < n; ni++ {
-			c.im2col(*patches, x, ni, g, h, w, y0, y1, x0, x1)
+			c.im2col(patches, x, ni, g, h, w, y0, y1, x0, x1)
 			// Prologue bias: the accumulator starts at the bias, exactly
 			// like the direct loop's acc := bias.
-			kernels.GemmPacked(*scratch, *patches, *panel, npix, kdim, ocg,
-				kernels.Opt{Bias: bias, Prologue: true, NoFused: true})
-			c.scatter(y, *scratch, ni, g, oh, ow, y0, y1, x0, x1)
+			kernels.GemmPacked(scratch, patches, panel, npix, kdim, ocg,
+				kernels.Opt{Bias: bias, Prologue: true, Serial: a != nil, NoFused: true})
+			c.scatter(y, scratch, ni, g, oh, ow, y0, y1, x0, x1)
 		}
-		kernels.PutScratch(panel)
 	}
 	if y1-y0 < oh || x1-x0 < ow {
 		c.forwardBorder(y, x, n, h, w, oh, ow, y0, y1, x0, x1)
