@@ -91,12 +91,10 @@ func buildAudio(info Info, seed uint64, dim, layers, classes int, outlier float6
 	}
 	initLinear(net.Head, r)
 	return &Network{
-		Meta:      info,
-		root:      net,
-		fwd:       func(s data.Sample) *tensor.Tensor { return net.Forward(s.X) },
-		Data:      &data.AudioDataset{N: 8, T: 256, NumBatches: nlpBatches, Seed: seed ^ 0xA0D10},
-		Classes:   classes,
-		plannable: true,
+		Meta:    info,
+		root:    net,
+		Data:    &data.AudioDataset{N: 8, T: 256, NumBatches: nlpBatches, Seed: seed ^ 0xA0D10},
+		Classes: classes,
 	}
 }
 

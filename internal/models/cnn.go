@@ -305,12 +305,10 @@ func buildCNN(info Info, seed uint64, body func(r *tensor.RNG, seq *nn.Sequentia
 		})
 	}
 	net := &Network{
-		Meta:      info,
-		root:      seq,
-		fwd:       func(s data.Sample) *tensor.Tensor { return seq.Forward(s.X) },
-		Data:      cvDataset(seed ^ 0xDA7A),
-		Classes:   classes,
-		plannable: true,
+		Meta:    info,
+		root:    seq,
+		Data:    cvDataset(seed ^ 0xDA7A),
+		Classes: classes,
 	}
 	WarmBatchNorms(net, 4)
 	return net

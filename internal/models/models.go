@@ -103,17 +103,17 @@ const (
 type Network struct {
 	Meta Info
 	root nn.Module
-	fwd  func(s data.Sample) *tensor.Tensor
+	// fwd, when set, is a custom forward over the sample's token/bag
+	// inputs (GPT, encoder-decoder, DLRM families). Without it the
+	// network is a pure function of the dense input s.X through its
+	// ArenaForwarder root (CV/ViT/audio families) and is plannable.
+	fwd func(s data.Sample) *tensor.Tensor
 	// Data generates calibration and evaluation batches.
 	Data data.Dataset
 	// Classes is the logit dimensionality of the output.
 	Classes int
 	// Eval selects the agreement metric.
 	Eval EvalKind
-	// plannable marks networks whose forward is a pure function of the
-	// dense input s.X through an ArenaForwarder root (CV/ViT/audio
-	// families); token- and bag-driven models (GPT, DLRM) are not.
-	plannable bool
 	// plan, when installed, routes Run through a compiled execution
 	// plan (preallocated scratch arenas, byte-identical math).
 	plan *nn.Plan
@@ -126,15 +126,15 @@ func (n *Network) Root() nn.Module { return n.root }
 func (n *Network) IsCNN() bool { return n.Meta.IsCNN }
 
 // Plannable reports whether the network's forward can run under a
-// compiled execution plan.
-func (n *Network) Plannable() bool { return n.plannable }
+// compiled execution plan: it has no custom forward.
+func (n *Network) Plannable() bool { return n.fwd == nil }
 
 // InstallPlan routes Run through p (binding p to the network's root);
 // installing nil restores the unplanned path. Outputs of a planned Run
 // are valid only until the next Run — Clone to retain.
 func (n *Network) InstallPlan(p *nn.Plan) {
 	if p != nil {
-		if !n.plannable {
+		if !n.Plannable() {
 			panic(fmt.Sprintf("models: %s is not plannable", n.Meta.Name))
 		}
 		p.Bind(n.root)
@@ -142,12 +142,16 @@ func (n *Network) InstallPlan(p *nn.Plan) {
 	n.plan = p
 }
 
-// Run implements quant.Model.
+// Run implements quant.Model: the custom forward if one is set, else
+// the installed plan, else the root module over s.X.
 func (n *Network) Run(s data.Sample) *tensor.Tensor {
-	if n.plan != nil && s.X != nil {
+	switch {
+	case n.fwd != nil:
+		return n.fwd(s)
+	case n.plan != nil:
 		return n.plan.Forward(s.X)
 	}
-	return n.fwd(s)
+	return n.root.Forward(s.X)
 }
 
 // Builder constructs a Network deterministically from a seed.
@@ -219,55 +223,12 @@ func WarmBatchNorms(n *Network, batches int) {
 	if len(bns) == 0 {
 		return
 	}
-	// One estimation cycle updates each BN from data flowing through
-	// the *previous* cycle's statistics, so stats go stale for
-	// downstream layers whenever upstream layers change; iterate until
-	// the statistics reach a fixed point (bounded by a generous cap).
-	prev := snapshotBN(bns)
-	cap := 2*len(bns) + 8
-	if cap > 40 {
-		cap = 40
-	}
-	for cycle := 0; cycle < cap; cycle++ {
-		for _, bn := range bns {
-			bn.StartCalibration()
-		}
+	// The statistics start random, so the cycle cap is generous.
+	nn.CalibrateBatchNorms(bns, min(2*len(bns)+8, 40), func() {
 		for i := 0; i < batches; i++ {
 			n.Run(n.Data.Batch(i % n.Data.Batches()))
 		}
-		for _, bn := range bns {
-			bn.FinishCalibration()
-		}
-		cur := snapshotBN(bns)
-		if bnConverged(prev, cur, 0.01) {
-			return
-		}
-		prev = cur
-	}
-}
-
-func snapshotBN(bns []*nn.BatchNorm2d) [][]float32 {
-	var out [][]float32
-	for _, bn := range bns {
-		s := make([]float32, 0, 2*bn.C)
-		s = append(s, bn.Mean...)
-		s = append(s, bn.Var...)
-		out = append(out, s)
-	}
-	return out
-}
-
-func bnConverged(a, b [][]float32, tol float64) bool {
-	for i := range a {
-		for j := range a[i] {
-			d := math.Abs(float64(a[i][j] - b[i][j]))
-			scale := math.Abs(float64(a[i][j])) + 1e-3
-			if d/scale > tol {
-				return false
-			}
-		}
-	}
-	return true
+	})
 }
 
 // nameSeed derives a stable seed from the model name (FNV-1a).

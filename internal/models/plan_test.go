@@ -96,7 +96,7 @@ func TestPlanSteadyStateZeroAlloc(t *testing.T) {
 }
 
 // TestInstallPlanRestoresUnplanned checks nil uninstall falls back to
-// the original fwd closure.
+// the unplanned root forward.
 func TestInstallPlanRestoresUnplanned(t *testing.T) {
 	net, err := Build("cifar_resnet20")
 	if err != nil {

@@ -1,7 +1,6 @@
 package models
 
 import (
-	"fp8quant/internal/data"
 	"fp8quant/internal/nn"
 	"fp8quant/internal/tensor"
 )
@@ -118,12 +117,10 @@ func buildUNet(info Info, seed uint64, classes int, diffusionStyle bool) *Networ
 		OutConv: out, Pool: &nn.MaxPool2d{K: 2, Stride: 2}, classes: classes,
 	}
 	n := &Network{
-		Meta:      info,
-		root:      net,
-		fwd:       func(s data.Sample) *tensor.Tensor { return net.Forward(s.X) },
-		Data:      cvDataset(seed ^ 0x0E7),
-		Classes:   classes,
-		plannable: true,
+		Meta:    info,
+		root:    net,
+		Data:    cvDataset(seed ^ 0x0E7),
+		Classes: classes,
 	}
 	WarmBatchNorms(n, 4)
 	return n

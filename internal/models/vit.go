@@ -3,7 +3,6 @@ package models
 import (
 	"fmt"
 
-	"fp8quant/internal/data"
 	"fp8quant/internal/nn"
 	"fp8quant/internal/tensor"
 )
@@ -85,12 +84,10 @@ func buildViT(info Info, seed uint64, dim, heads, ff, layers, classes int, windo
 	}
 	initLinear(net.Head, r)
 	return &Network{
-		Meta:      info,
-		root:      net,
-		fwd:       func(s data.Sample) *tensor.Tensor { return net.Forward(s.X) },
-		Data:      cvDataset(seed ^ 0x517),
-		Classes:   classes,
-		plannable: true,
+		Meta:    info,
+		root:    net,
+		Data:    cvDataset(seed ^ 0x517),
+		Classes: classes,
 	}
 }
 

@@ -58,27 +58,35 @@ func (a *MultiHeadAttention) Forward(x *tensor.Tensor) *tensor.Tensor {
 
 // ForwardArena implements ArenaForwarder.
 func (a *MultiHeadAttention) ForwardArena(ar *tensor.Arena, x *tensor.Tensor) *tensor.Tensor {
+	return a.attend(ar, x, x)
+}
+
+// attend is the one attention body: queries from x [B,Tq,D], keys and
+// values from kv [B,Tk,D]. Self-attention (kv == x) applies the
+// causal/sliding-window mask; cross-attention never masks.
+func (a *MultiHeadAttention) attend(ar *tensor.Arena, x, kv *tensor.Tensor) *tensor.Tensor {
 	if x.Rank() != 3 || x.Shape[2] != a.Dim {
 		panic(fmt.Sprintf("nn: attention expects [B,T,%d], got %v", a.Dim, x.Shape))
 	}
-	b, t := x.Shape[0], x.Shape[1]
 	hd := a.Dim / a.Heads
 
-	q := splitHeads(ar, a.WQ.ForwardArena(ar, x), a.Heads) // [B,H,T,hd]
-	k := splitHeads(ar, a.WK.ForwardArena(ar, x), a.Heads)
-	v := splitHeads(ar, a.WV.ForwardArena(ar, x), a.Heads)
+	q := splitHeads(ar, a.WQ.ForwardArena(ar, x), a.Heads) // [B,H,Tq,hd]
+	k := splitHeads(ar, a.WK.ForwardArena(ar, kv), a.Heads)
+	v := splitHeads(ar, a.WV.ForwardArena(ar, kv), a.Heads)
 
-	scores := a.QK.ApplyArena(ar, q, k) // [B,H,T,T]
+	scores := a.QK.ApplyArena(ar, q, k) // [B,H,Tq,Tk]
 	scale := float32(1 / math.Sqrt(float64(hd)))
 	for i := range scores.Data {
 		scores.Data[i] *= scale
 	}
-	a.mask(scores, b, t)
+	if kv == x {
+		a.mask(scores, x.Shape[0], x.Shape[1])
+	}
 
 	probs := ar.New(scores.Shape...)
-	SoftmaxInto(probs.Data, scores.Data, t)
+	SoftmaxInto(probs.Data, scores.Data, kv.Shape[1])
 
-	ctx := a.PV.ApplyArena(ar, probs, v) // [B,H,T,hd]
+	ctx := a.PV.ApplyArena(ar, probs, v) // [B,H,Tq,hd]
 	return a.WO.ForwardArena(ar, mergeHeads(ar, ctx))
 }
 
@@ -160,25 +168,8 @@ func NewCrossAttention(dim, heads int) *CrossAttention {
 func (c *CrossAttention) Kind() string { return "CrossAttention" }
 
 // Attend runs attention with queries from x [B,Tq,D] and keys/values
-// from mem [B,Tk,D].
+// from mem [B,Tk,D], through the self-attention body; Attend(x, x)
+// equals Forward(x).
 func (c *CrossAttention) Attend(x, mem *tensor.Tensor) *tensor.Tensor {
-	b, tq := x.Shape[0], x.Shape[1]
-	tk := mem.Shape[1]
-	hd := c.Dim / c.Heads
-
-	q := splitHeads(nil, c.WQ.Forward(x), c.Heads)
-	k := splitHeads(nil, c.WK.Forward(mem), c.Heads)
-	v := splitHeads(nil, c.WV.Forward(mem), c.Heads)
-
-	scores := c.QK.Apply(q, k) // [B,H,Tq,Tk]
-	scale := float32(1 / math.Sqrt(float64(hd)))
-	for i := range scores.Data {
-		scores.Data[i] *= scale
-	}
-	probs := tensor.New(scores.Shape...)
-	SoftmaxInto(probs.Data, scores.Data, tk)
-	ctx := c.PV.Apply(probs, v)
-	_ = b
-	_ = tq
-	return c.WO.Forward(mergeHeads(nil, ctx))
+	return c.attend(nil, x, mem)
 }

@@ -58,11 +58,12 @@ func (c *Conv2d) OutSize(n int) int {
 
 // Forward convolves x [N, InC, H, W] producing [N, OutC, H', W'].
 // Output pixels whose window lies fully inside the input go through an
-// im2col gather + blocked GEMM (kernels.GemmT); the padded border ring
-// keeps the direct skip-on-pad loop. Both paths accumulate products in
-// the same (ic, ky, kx) order from a bias-seeded accumulator, so the
-// result is bit-identical to the all-direct reference (forwardDirect),
-// which the differential tests pin it against.
+// im2col gather + packed GEMM (kernels.GemmPacked); the padded border
+// ring keeps the direct skip-on-pad loop. Both paths accumulate
+// products in the same (ic, ky, kx) order from a bias-seeded
+// accumulator, so the result is bit-identical to the all-direct
+// reference (forwardDirect), which the differential tests pin it
+// against.
 func (c *Conv2d) Forward(x *tensor.Tensor) *tensor.Tensor { return c.ForwardArena(nil, x) }
 
 // ForwardArena implements ArenaForwarder: the output, the im2col
@@ -129,20 +130,12 @@ func (c *Conv2d) forwardInto(a *tensor.Arena, y, x *tensor.Tensor, n, h, w, oh, 
 	// the arena path carves its buffers and runs the GEMMs serially
 	// (plan-per-worker parallelism); the heap path borrows pooled
 	// scratch and lets the GEMMs fan out.
-	var patches, scratch, panel []float32
-	if a != nil {
-		patches = a.Alloc(npix * kdim)
-		scratch = a.Alloc(npix * ocg)
-		panel = a.Alloc(kernels.PanelFloats(kdim, ocg))
-	} else {
-		pp := kernels.GetScratch(npix * kdim)
-		ps := kernels.GetScratch(npix * ocg)
-		pw := kernels.GetScratch(kernels.PanelFloats(kdim, ocg))
-		defer kernels.PutScratch(pp)
-		defer kernels.PutScratch(ps)
-		defer kernels.PutScratch(pw)
-		patches, scratch, panel = *pp, *ps, *pw
-	}
+	patches, pp := scratch(a, npix*kdim)
+	defer kernels.PutScratch(pp)
+	out, ps := scratch(a, npix*ocg)
+	defer kernels.PutScratch(ps)
+	panel, pw := scratch(a, kernels.PanelFloats(kdim, ocg))
+	defer kernels.PutScratch(pw)
 	for g := 0; g < c.Groups; g++ {
 		var bias []float32
 		if c.B != nil {
@@ -156,9 +149,9 @@ func (c *Conv2d) forwardInto(a *tensor.Arena, y, x *tensor.Tensor, n, h, w, oh, 
 			c.im2col(patches, x, ni, g, h, w, y0, y1, x0, x1)
 			// Prologue bias: the accumulator starts at the bias, exactly
 			// like the direct loop's acc := bias.
-			kernels.GemmPacked(scratch, patches, panel, npix, kdim, ocg,
+			kernels.GemmPacked(out, patches, panel, npix, kdim, ocg,
 				kernels.Opt{Bias: bias, Prologue: true, Serial: a != nil, NoFused: true})
-			c.scatter(y, scratch, ni, g, oh, ow, y0, y1, x0, x1)
+			c.scatter(y, out, ni, g, oh, ow, y0, y1, x0, x1)
 		}
 	}
 	if y1-y0 < oh || x1-x0 < ow {

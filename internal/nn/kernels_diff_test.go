@@ -199,10 +199,15 @@ func TestBatchMatMulMatchesOracle(t *testing.T) {
 		b := tensor.New(tc.bShape...)
 		fillTensor(a, rng, 1)
 		fillTensor(b, rng, 0.5)
-		got := BatchMatMul(a, b, tc.transB)
 		want := batchMatMulOracle(a, b, tc.transB)
+		got := BatchMatMul(a, b, tc.transB)
 		requireBitsEqual(t, got.Data, want,
 			fmt.Sprintf("BatchMatMul %v x %v transB=%v", tc.aShape, tc.bShape, tc.transB))
+		// The planned (arena, serial, non-fused-quant) body must agree.
+		op := &BatchMatMulOp{TransposeB: tc.transB}
+		got = op.ApplyArena(&tensor.Arena{}, a, b)
+		requireBitsEqual(t, got.Data, want,
+			fmt.Sprintf("BatchMatMulOp.ApplyArena %v x %v transB=%v", tc.aShape, tc.bShape, tc.transB))
 	}
 }
 

@@ -42,7 +42,7 @@ func (l *Linear) OutChannelDim() int { return 0 }
 func (l *Linear) Forward(x *tensor.Tensor) *tensor.Tensor { return l.ForwardArena(nil, x) }
 
 // ForwardArena implements ArenaForwarder. The weight panel is repacked
-// into arena scratch on every call — packing is a pure copy, and the
+// into scratch (arena or pooled) on every call — packing is a pure copy, and the
 // weights themselves may be requantized in place between calls, so
 // panels are never cached.
 func (l *Linear) ForwardArena(a *tensor.Arena, x *tensor.Tensor) *tensor.Tensor {
@@ -54,17 +54,14 @@ func (l *Linear) ForwardArena(a *tensor.Arena, x *tensor.Tensor) *tensor.Tensor 
 	y := newLike(a, x, l.Out)
 	// Bias rides in the GEMM epilogue: acc = Σ_k x·w, then acc += b —
 	// the same operation order as the old separate per-row pass.
-	if a == nil {
-		kernels.GemmT(y.Data, x.Data, l.W.Data, rows, l.In, l.Out, kernels.Opt{Bias: l.B})
-	} else {
-		// Planned forwards run the kernel serially (the pooled-closure
-		// fan-out allocates); parallelism comes from one plan per
-		// worker, and the PR 5 contract makes serial vs fanned-out runs
-		// byte-identical.
-		panel := a.Alloc(kernels.PanelFloats(l.In, l.Out))
-		kernels.PackTInto(panel, l.W.Data, l.In, l.Out)
-		kernels.GemmPacked(y.Data, x.Data, panel, rows, l.In, l.Out, kernels.Opt{Bias: l.B, Serial: true})
-	}
+	// Planned forwards run the kernel serially (the pooled-closure
+	// fan-out allocates); parallelism comes from one plan per worker,
+	// and the kernels' bit-identity contract makes serial and
+	// fanned-out runs byte-identical.
+	panel, pp := scratch(a, kernels.PanelFloats(l.In, l.Out))
+	defer kernels.PutScratch(pp)
+	kernels.PackTInto(panel, l.W.Data, l.In, l.Out)
+	kernels.GemmPacked(y.Data, x.Data, panel, rows, l.In, l.Out, kernels.Opt{Bias: l.B, Serial: a != nil})
 	return l.QS.applyOut(y)
 }
 
@@ -72,7 +69,7 @@ func (l *Linear) ForwardArena(a *tensor.Arena, x *tensor.Tensor) *tensor.Tensor 
 // buffers: x is [rows, in], w is [out, in], y is [rows, out].
 // Accumulation is float32, matching typical FP8-with-FP32-accumulate
 // hardware behaviour emulated by the paper. It is the scalar oracle
-// the blocked kernels.GemmT path is pinned against by the
+// packed kernels.GemmPacked route is pinned against by the
 // differential tests in kernels_diff_test.go: a single accumulator in
 // ascending-k order, using the active variant's multiply-accumulate
 // (two roundings on the generic/sse tiers, the exactly-rounded fused
@@ -125,12 +122,7 @@ func (m *MatMulOp) Apply(a, b *tensor.Tensor) *tensor.Tensor {
 // copy of b is materialized, and the result is bit-identical to the
 // copy path by the RowQuantFactory contract.
 func (m *MatMulOp) ApplyArena(ar *tensor.Arena, a, b *tensor.Tensor) *tensor.Tensor {
-	a = m.QA.applyIn(ar, a)
-	if q := m.QB.fusedQuant(b); q != nil {
-		return batchMatMul(ar, a, b, false, q)
-	}
-	b = m.QB.applyIn(ar, b)
-	return batchMatMul(ar, a, b, false, nil)
+	return quantBatchMatMul(ar, &m.QA, &m.QB, a, b, false)
 }
 
 // BatchMatMulOp is the BMM leaf used inside attention (QKᵀ and PV).
@@ -160,98 +152,102 @@ func (m *BatchMatMulOp) Apply(a, b *tensor.Tensor) *tensor.Tensor {
 // MatMulOp, a fused quantizer on the b operand folds into panel
 // packing.
 func (m *BatchMatMulOp) ApplyArena(ar *tensor.Arena, a, b *tensor.Tensor) *tensor.Tensor {
-	a = m.QA.applyIn(ar, a)
-	if q := m.QB.fusedQuant(b); q != nil {
-		return batchMatMul(ar, a, b, m.TransposeB, q)
+	return quantBatchMatMul(ar, &m.QA, &m.QB, a, b, m.TransposeB)
+}
+
+// quantBatchMatMul runs the operand hooks qa and qb, then multiplies.
+// A fused quantizer on b is handed to batchMatMul for panel packing
+// instead of materializing a quantized copy of b.
+func quantBatchMatMul(ar *tensor.Arena, qa, qb *QState, a, b *tensor.Tensor, transB bool) *tensor.Tensor {
+	a = qa.applyIn(ar, a)
+	q := qb.fusedQuant(b)
+	if q == nil {
+		b = qb.applyIn(ar, b)
 	}
-	b = m.QB.applyIn(ar, b)
-	return batchMatMul(ar, a, b, m.TransposeB, nil)
+	return batchMatMul(ar, a, b, transB, q)
 }
 
 // BatchMatMul multiplies batched matrices: a is [batch..., M, K] and b
 // is [batch..., K, N] (or [batch..., N, K] when transB). Leading batch
 // dims must match exactly.
 func BatchMatMul(a, b *tensor.Tensor, transB bool) *tensor.Tensor {
-	return BatchMatMulArena(nil, a, b, transB)
-}
-
-// BatchMatMulArena is BatchMatMul with the output (and one packed
-// panel, reused across batch elements) carved from ar. The arena path
-// runs batch elements serially through the same packed kernels the
-// parallel path uses; the kernels' bit-identity contract makes the
-// results byte-equal for any fan-out.
-func BatchMatMulArena(ar *tensor.Arena, a, b *tensor.Tensor, transB bool) *tensor.Tensor {
-	return batchMatMul(ar, a, b, transB, nil)
+	return batchMatMul(nil, a, b, transB, nil)
 }
 
 // batchMatMul is the shared batched-multiply body. A non-nil q is a
 // chunkable fake-quantizer (whole-tensor statistics already bound, see
 // QState.fusedQuant) applied to b during panel packing — the fused
 // form of quantize-b-then-multiply, byte-identical to it.
+//
+// Every batch element runs the same pack → GemmPacked route; only the
+// fan-out differs. A planned (arena) call runs the batch serially
+// (plan-per-worker parallelism); a heap call fans the batch out over
+// the worker pool, or, for a single matrix, the GEMM's rows. The
+// kernels' bit-identity contract makes every schedule byte-equal.
 func batchMatMul(ar *tensor.Arena, a, b *tensor.Tensor, transB bool, q kernels.QuantFunc) *tensor.Tensor {
+	batch, M, K, N := bmmDims(a, b, transB)
+	y := newLike2(ar, a, M, N)
+	if ar != nil || batch == 1 {
+		bmmRange(ar, y.Data, a.Data, b.Data, 0, batch, M, K, N, transB, q, ar != nil)
+		return y
+	}
+	tensor.ParallelFor(batch, 1, func(lo, hi int) {
+		bmmRange(nil, y.Data, a.Data, b.Data, lo, hi, M, K, N, transB, q, true)
+	})
+	return y
+}
+
+// bmmDims validates the operand shapes of a batched multiply and
+// returns the batch count and the per-element GEMM extents.
+func bmmDims(a, b *tensor.Tensor, transB bool) (batch, M, K, N int) {
 	if a.Rank() < 2 || b.Rank() < 2 {
 		panic("nn: BatchMatMul needs rank >= 2")
 	}
-	M := a.Shape[a.Rank()-2]
-	K := a.Shape[a.Rank()-1]
-	var N, bK int
+	M = a.Shape[a.Rank()-2]
+	K = a.Shape[a.Rank()-1]
+	bK, bN := b.Shape[b.Rank()-2], b.Shape[b.Rank()-1]
 	if transB {
-		N = b.Shape[b.Rank()-2]
-		bK = b.Shape[b.Rank()-1]
-	} else {
-		bK = b.Shape[b.Rank()-2]
-		N = b.Shape[b.Rank()-1]
+		bK, bN = bN, bK
 	}
 	if bK != K {
 		panic(fmt.Sprintf("nn: BatchMatMul inner dims mismatch: %v x %v (transB=%v)", a.Shape, b.Shape, transB))
 	}
-	batch := a.Len() / (M * K)
-	if b.Len()/(bqSize(transB, K, N)) != batch {
+	N = bN
+	batch = a.Len() / (M * K)
+	if b.Len()/(K*N) != batch {
 		panic(fmt.Sprintf("nn: BatchMatMul batch mismatch: %v x %v", a.Shape, b.Shape))
 	}
-	y := newLike2(ar, a, M, N)
-	// Both layouts route through the packed GEMM kernels; per output
-	// element the accumulation stays ascending-k, matching the old
-	// matmulT (transB) and k-outer (natural) loops bit for bit.
-	if ar != nil {
-		panel := ar.Alloc(kernels.PanelFloats(K, N))
-		var stage []float32
-		if q != nil {
-			stage = ar.Alloc(kernels.QuantStageFloats(K, N))
-		}
-		for bi := 0; bi < batch; bi++ {
-			am := a.Data[bi*M*K : (bi+1)*M*K]
-			bm := b.Data[bi*K*N : (bi+1)*K*N]
-			ym := y.Data[bi*M*N : (bi+1)*M*N]
-			// Repacking overwrites the panel fully (including the
-			// zero tail), so reuse across batch elements is exact.
-			switch {
-			case q != nil && transB:
-				kernels.PackTQuantInto(panel, stage, bm, K, N, q)
-			case q != nil:
-				kernels.PackNQuantInto(panel, stage, bm, K, N, q)
-			case transB:
-				kernels.PackTInto(panel, bm, K, N)
-			default:
-				kernels.PackNInto(panel, bm, K, N)
-			}
-			kernels.GemmPacked(ym, am, panel, M, K, N, kernels.Opt{Serial: true})
-		}
-		return y
+	return batch, M, K, N
+}
+
+// bmmRange multiplies batch elements [lo, hi): each packs its b matrix
+// (through q when non-nil) into one panel and runs GemmPacked against
+// it. Repacking overwrites the panel fully (including the zero tail),
+// so reusing it across elements is exact.
+func bmmRange(ar *tensor.Arena, y, a, b []float32, lo, hi, M, K, N int, transB bool, q kernels.QuantFunc, serial bool) {
+	panel, pp := scratch(ar, kernels.PanelFloats(K, N))
+	defer kernels.PutScratch(pp)
+	var stage []float32
+	if q != nil {
+		var sp *[]float32
+		stage, sp = scratch(ar, kernels.QuantStageFloats(K, N))
+		defer kernels.PutScratch(sp)
 	}
-	if batch == 1 {
-		batchMatMulOne(y.Data, a.Data, b.Data, M, K, N, transB, false, q)
-		return y
-	}
-	tensor.ParallelFor(batch, 1, func(lo, hi int) {
-		for bi := lo; bi < hi; bi++ {
-			am := a.Data[bi*M*K : (bi+1)*M*K]
-			bm := b.Data[bi*K*N : (bi+1)*K*N]
-			ym := y.Data[bi*M*N : (bi+1)*M*N]
-			batchMatMulOne(ym, am, bm, M, K, N, transB, true, q)
+	for bi := lo; bi < hi; bi++ {
+		am := a[bi*M*K : (bi+1)*M*K]
+		bm := b[bi*K*N : (bi+1)*K*N]
+		switch {
+		case q != nil && transB:
+			kernels.PackTQuantInto(panel, stage, bm, K, N, q)
+		case q != nil:
+			kernels.PackNQuantInto(panel, stage, bm, K, N, q)
+		case transB:
+			kernels.PackTInto(panel, bm, K, N)
+		default:
+			kernels.PackNInto(panel, bm, K, N)
 		}
-	})
-	return y
+		kernels.GemmPacked(y[bi*M*N:(bi+1)*M*N], am, panel, M, K, N, kernels.Opt{Serial: serial})
+	}
 }
 
 // newLike2 carves the [.., M, N] output shape for a batched matmul
@@ -268,22 +264,15 @@ func newLike2(ar *tensor.Arena, a *tensor.Tensor, M, N int) *tensor.Tensor {
 	return ar.New(buf[:r]...)
 }
 
-// batchMatMulOne multiplies one batch element through the blocked
-// kernels; serial kernels are used when the batch loop itself is the
-// parallel axis. A non-nil q routes through the fused-quant entry
-// points (quantize-during-pack).
-func batchMatMulOne(y, a, b []float32, M, K, N int, transB, serial bool, q kernels.QuantFunc) {
-	opt := kernels.Opt{Serial: serial}
-	switch {
-	case q != nil && transB:
-		kernels.GemmTQuant(y, a, b, M, K, N, q, opt)
-	case q != nil:
-		kernels.GemmNQuant(y, a, b, M, K, N, q, opt)
-	case transB:
-		kernels.GemmT(y, a, b, M, K, N, opt)
-	default:
-		kernels.GemmN(y, a, b, M, K, N, opt)
+// scratch returns an n-float GEMM buffer: carved from a when planned,
+// else borrowed from the kernels' pool. The second result is the
+// pooled buffer to hand back with kernels.PutScratch (nil for arena
+// slices, which PutScratch ignores); the buffer source is the only
+// difference between planned and unplanned GEMM routes.
+func scratch(a *tensor.Arena, n int) ([]float32, *[]float32) {
+	if a != nil {
+		return a.Alloc(n), nil
 	}
+	p := kernels.GetScratch(n)
+	return *p, p
 }
-
-func bqSize(transB bool, k, n int) int { return k * n }

@@ -507,6 +507,9 @@ func TestCrossAttention(t *testing.T) {
 	if y.Shape[0] != 1 || y.Shape[1] != 3 || y.Shape[2] != 8 {
 		t.Errorf("cross attention shape %v", y.Shape)
 	}
+	// Cross-attention shares the self-attention body: attending over
+	// the queries themselves is self-attention, bit for bit.
+	requireBitsEqual(t, ca.Attend(q, q).Data, ca.MultiHeadAttention.Forward(q).Data, "Attend(x, x) vs Forward(x)")
 }
 
 func TestBinaryOpsPanicOnForward(t *testing.T) {

@@ -77,6 +77,58 @@ func (bn *BatchNorm2d) FinishCalibration() {
 	bn.sum, bn.sumSq = nil, nil
 }
 
+// CalibrateBatchNorms re-estimates the running statistics of bns from
+// the batches that pass runs through the network, iterated to a fixed
+// point.
+// One cycle updates every BN from data flowing through the previous
+// cycle's statistics, so stacked BNs go stale for downstream layers
+// whenever upstream ones change; cycles repeat until no mean or
+// variance moves by more than 1% (relative) or maxCycles have run.
+func CalibrateBatchNorms(bns []*BatchNorm2d, maxCycles int, pass func()) {
+	prev := snapshotBN(bns)
+	for cycle := 0; cycle < maxCycles; cycle++ {
+		for _, bn := range bns {
+			bn.StartCalibration()
+		}
+		pass()
+		for _, bn := range bns {
+			bn.FinishCalibration()
+		}
+		cur := snapshotBN(bns)
+		if bnConverged(prev, cur, 0.01) {
+			return
+		}
+		prev = cur
+	}
+}
+
+// snapshotBN copies the running mean and variance of each BN.
+func snapshotBN(bns []*BatchNorm2d) [][]float32 {
+	out := make([][]float32, 0, len(bns))
+	for _, bn := range bns {
+		s := make([]float32, 0, 2*bn.C)
+		s = append(s, bn.Mean...)
+		s = append(s, bn.Var...)
+		out = append(out, s)
+	}
+	return out
+}
+
+// bnConverged reports whether two snapshots agree within a relative
+// tolerance.
+func bnConverged(a, b [][]float32, tol float64) bool {
+	for i := range a {
+		for j := range a[i] {
+			d := math.Abs(float64(a[i][j] - b[i][j]))
+			scale := math.Abs(float64(a[i][j])) + 1e-3
+			if d/scale > tol {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 // Calibrating reports whether statistics accumulation is active.
 func (bn *BatchNorm2d) Calibrating() bool { return bn.calibrating }
 

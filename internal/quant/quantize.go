@@ -117,12 +117,6 @@ func Quantize(m Model, ds data.Dataset, r Recipe) *Handle {
 				append([]float32(nil), bn.Var...),
 			}
 		}
-		// Iterate estimation to a fixed point: each cycle re-estimates
-		// every BN from data flowing through the previous cycle's
-		// statistics, so stacked BNs need several cycles before the
-		// stats stop shifting (the same staleness issue arises when
-		// initializing the FP32 statistics).
-		prev := snapshotBNStats(bns)
 		// Warm-started statistics converge in a few cycles; cap the
 		// loop tightly since each cycle costs full calibration passes
 		// (and with large calibration sets a single pass already
@@ -131,49 +125,9 @@ func Quantize(m Model, ds data.Dataset, r Recipe) *Handle {
 		if r.BNCalibBatches >= 32 {
 			cycles = 2
 		}
-		for cycle := 0; cycle < cycles; cycle++ {
-			for _, bn := range bns {
-				bn.StartCalibration()
-			}
-			runBatches(m, ds, r.BNCalibBatches)
-			for _, bn := range bns {
-				bn.FinishCalibration()
-			}
-			cur := snapshotBNStats(bns)
-			if bnStatsConverged(prev, cur, 0.01) {
-				break
-			}
-			prev = cur
-		}
+		nn.CalibrateBatchNorms(bns, cycles, func() { runBatches(m, ds, r.BNCalibBatches) })
 	}
 	return h
-}
-
-// snapshotBNStats copies the running statistics of a set of BNs.
-func snapshotBNStats(bns []*nn.BatchNorm2d) [][]float32 {
-	out := make([][]float32, 0, len(bns))
-	for _, bn := range bns {
-		s := make([]float32, 0, 2*bn.C)
-		s = append(s, bn.Mean...)
-		s = append(s, bn.Var...)
-		out = append(out, s)
-	}
-	return out
-}
-
-// bnStatsConverged reports whether two stat snapshots agree within a
-// relative tolerance.
-func bnStatsConverged(a, b [][]float32, tol float64) bool {
-	for i := range a {
-		for j := range a[i] {
-			d := math.Abs(float64(a[i][j] - b[i][j]))
-			scale := math.Abs(float64(a[i][j])) + 1e-3
-			if d/scale > tol {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // runBatches feeds n batches (cycling if the dataset is smaller)

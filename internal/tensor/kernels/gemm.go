@@ -1,7 +1,11 @@
 // Package kernels holds the blocked compute kernels behind the nn
 // layer forward paths: a register-tiled, worker-pool-parallel GEMM for
-// y = x·Wᵀ (Linear, im2col convolution, attention BMMs) in both
-// transposed- and natural-B layouts.
+// Linear, im2col convolution and attention BMMs. Every caller takes one
+// route: pack B into a micro-panel buffer (PackTInto for the
+// transposed [out, in] weight layout, PackNInto for the natural
+// [in, out] layout, or their fused-quant forms PackTQuantInto and
+// PackNQuantInto), then run GemmPacked against it. The panel comes
+// from the caller's arena or from pooled GetScratch buffers.
 //
 // Bit-identity contract (per variant): for every output element y[r,o]
 // the kernels perform exactly the same float32 operation sequence as
@@ -81,31 +85,12 @@ func GetScratch(n int) *[]float32 {
 	return &s
 }
 
-// PutScratch returns a buffer obtained from GetScratch to the pool.
-func PutScratch(p *[]float32) { panelPool.Put(p) }
-
-// GemmT computes y[r,o] = Σ_k x[r,k]·w[o,k] (+ bias): x is row-major
-// [rows, in], w is row-major [out, in] (i.e. Bᵀ, the Linear weight
-// layout), y is row-major [rows, out].
-func GemmT(y, x, w []float32, rows, in, out int, opt Opt) {
-	if rows <= 0 || out <= 0 {
-		return
+// PutScratch returns a buffer obtained from GetScratch to the pool; a
+// nil p (a caller whose buffer came from an arena) is ignored.
+func PutScratch(p *[]float32) {
+	if p != nil {
+		panelPool.Put(p)
 	}
-	pp := PackT(w, in, out)
-	run(y, x, *pp, rows, in, out, opt)
-	PutScratch(pp)
-}
-
-// PackT packs w (row-major [out, in]) into the micro-panel layout the
-// microkernels consume, in a pooled buffer. Callers multiplying the
-// same weights against several row blocks (e.g. one panel per
-// convolution group reused across the batch) pack once and run
-// GemmPacked per block; return the buffer with PutScratch.
-func PackT(w []float32, in, out int) *[]float32 {
-	npan := (out + nr - 1) / nr
-	pp := GetScratch(npan * in * nr)
-	packT(*pp, w, in, out)
-	return pp
 }
 
 // PanelFloats returns the float32 length of the packed panel for a
@@ -126,25 +111,17 @@ func PackTInto(panel, w []float32, in, out int) { packT(panel, w, in, out) }
 // into panel, which must have at least PanelFloats(in, out) elements.
 func PackNInto(panel, b []float32, in, out int) { packN(panel, b, in, out) }
 
-// GemmPacked is GemmT against a panel already packed by PackT.
+// GemmPacked computes y[r,o] = Σ_k x[r,k]·b[k,o] (+ bias) for x
+// row-major [rows, in] and y row-major [rows, out], against a panel
+// holding b already packed by PackTInto/PackNInto (or their fused-quant
+// forms). It is the one GEMM entry point: callers pack into arena or
+// pooled scratch and may reuse a panel across row blocks (e.g. one
+// panel per convolution group reused across the batch).
 func GemmPacked(y, x, panel []float32, rows, in, out int, opt Opt) {
 	if rows <= 0 || out <= 0 {
 		return
 	}
 	run(y, x, panel, rows, in, out, opt)
-}
-
-// GemmN computes y[r,o] = Σ_k x[r,k]·b[k,o] (+ bias): b is row-major
-// [in, out] (the natural matmul layout).
-func GemmN(y, x, b []float32, rows, in, out int, opt Opt) {
-	if rows <= 0 || out <= 0 {
-		return
-	}
-	npan := (out + nr - 1) / nr
-	pp := GetScratch(npan * in * nr)
-	packN(*pp, b, in, out)
-	run(y, x, *pp, rows, in, out, opt)
-	PutScratch(pp)
 }
 
 // packT packs w (row-major [out, in]; rows are output columns) into

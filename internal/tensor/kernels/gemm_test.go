@@ -18,8 +18,32 @@ type maddFunc func(acc, x, b float32) float32
 // the avx2 tier.
 func maddFor(v Variant) maddFunc { return RefMadd(v) }
 
-// gemmTRef is the scalar oracle for GemmT: the exact naive loop the
-// kernels must match bit for bit (single accumulator, ascending k,
+// gemm is the tests' route into the kernels, the same one every nn op
+// takes: pack b into a pooled panel — transposed layout ([out, in],
+// the Linear weight) when transB, natural ([in, out]) otherwise, and
+// quantized through q on the way when q is non-nil — then GemmPacked.
+func gemm(y, x, b []float32, rows, in, out int, transB bool, q QuantFunc, opt Opt) {
+	pp := GetScratch(PanelFloats(in, out))
+	defer PutScratch(pp)
+	switch {
+	case q != nil:
+		sp := GetScratch(QuantStageFloats(in, out))
+		defer PutScratch(sp)
+		if transB {
+			PackTQuantInto(*pp, *sp, b, in, out, q)
+		} else {
+			PackNQuantInto(*pp, *sp, b, in, out, q)
+		}
+	case transB:
+		PackTInto(*pp, b, in, out)
+	default:
+		PackNInto(*pp, b, in, out)
+	}
+	GemmPacked(y, x, *pp, rows, in, out, opt)
+}
+
+// gemmTRef is the scalar oracle for the transposed-B layout: the exact
+// naive loop the kernels must match bit for bit (single accumulator, ascending k,
 // the variant's multiply-accumulate).
 func gemmTRef(y, x, w []float32, rows, in, out int, opt Opt, madd maddFunc) {
 	for r := 0; r < rows; r++ {
@@ -39,7 +63,8 @@ func gemmTRef(y, x, w []float32, rows, in, out int, opt Opt, madd maddFunc) {
 	}
 }
 
-// gemmNRef is the scalar oracle for GemmN (b row-major [in, out]).
+// gemmNRef is the scalar oracle for the natural-B layout (b row-major
+// [in, out]).
 func gemmNRef(y, x, b []float32, rows, in, out int, opt Opt, madd maddFunc) {
 	for r := 0; r < rows; r++ {
 		for o := 0; o < out; o++ {
@@ -135,10 +160,10 @@ func TestGemmTMatchesOracleBitExact(t *testing.T) {
 			} {
 				got := make([]float32, s.rows*s.out)
 				want := make([]float32, s.rows*s.out)
-				GemmT(got, x, w, s.rows, s.in, s.out, opt)
+				gemm(got, x, w, s.rows, s.in, s.out, true, nil, opt)
 				gemmTRef(want, x, w, s.rows, s.in, s.out, opt, madd)
 				if !bitsEqual(got, want) {
-					t.Errorf("GemmT %dx%dx%d opt=%+v diverges from oracle", s.rows, s.in, s.out, opt)
+					t.Errorf("gemm transB %dx%dx%d opt=%+v diverges from oracle", s.rows, s.in, s.out, opt)
 					firstDiff(t, got, want)
 				}
 			}
@@ -165,10 +190,10 @@ func TestGemmNMatchesOracleBitExact(t *testing.T) {
 			} {
 				got := make([]float32, s.rows*s.out)
 				want := make([]float32, s.rows*s.out)
-				GemmN(got, x, b, s.rows, s.in, s.out, opt)
+				gemm(got, x, b, s.rows, s.in, s.out, false, nil, opt)
 				gemmNRef(want, x, b, s.rows, s.in, s.out, opt, madd)
 				if !bitsEqual(got, want) {
-					t.Errorf("GemmN %dx%dx%d opt=%+v diverges from oracle", s.rows, s.in, s.out, opt)
+					t.Errorf("gemm natural-B %dx%dx%d opt=%+v diverges from oracle", s.rows, s.in, s.out, opt)
 					firstDiff(t, got, want)
 				}
 			}
@@ -195,7 +220,7 @@ func TestGemmSpecialValues(t *testing.T) {
 		x[4*in+8] = nan
 		got := make([]float32, rows*out)
 		want := make([]float32, rows*out)
-		GemmT(got, x, w, rows, in, out, Opt{})
+		gemm(got, x, w, rows, in, out, true, nil, Opt{})
 		gemmTRef(want, x, w, rows, in, out, Opt{}, maddFor(v))
 		if !bitsEqual(got, want) {
 			firstDiff(t, got, want)
@@ -218,12 +243,12 @@ func TestGemmDeterministicAcrossWorkers(t *testing.T) {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 		runtime.GOMAXPROCS(1)
 		ref := make([]float32, rows*out)
-		GemmT(ref, x, w, rows, in, out, Opt{})
+		gemm(ref, x, w, rows, in, out, true, nil, Opt{})
 
 		for _, procs := range []int{2, 8} {
 			runtime.GOMAXPROCS(procs)
 			got := make([]float32, rows*out)
-			GemmT(got, x, w, rows, in, out, Opt{})
+			gemm(got, x, w, rows, in, out, true, nil, Opt{})
 			if !bitsEqual(got, ref) {
 				t.Errorf("GOMAXPROCS=%d diverges from serial result", procs)
 				firstDiff(t, got, ref)
@@ -232,9 +257,9 @@ func TestGemmDeterministicAcrossWorkers(t *testing.T) {
 	})
 }
 
-// TestGemmPackedMatchesGemmT proves the pack-once path (PackT +
-// GemmPacked, the convolution batch pattern) produces the same bytes
-// as the self-packing GemmT call.
+// TestGemmPackedMatchesGemmT proves a transposed-B (GemmT-layout)
+// panel packed once and reused across calls — the convolution batch
+// pattern — yields the oracle's bytes on every pass.
 func TestGemmPackedMatchesGemmT(t *testing.T) {
 	forEachVariant(t, func(t *testing.T, v Variant) {
 		rng := tensor.NewRNG(0x9AC)
@@ -247,14 +272,14 @@ func TestGemmPackedMatchesGemmT(t *testing.T) {
 		fillMixed(bias, rng)
 		opt := Opt{Bias: bias, Prologue: true}
 		want := make([]float32, rows*out)
-		GemmT(want, x, w, rows, in, out, opt)
-		panel := PackT(w, in, out)
-		defer PutScratch(panel)
+		gemmTRef(want, x, w, rows, in, out, opt, maddFor(v))
+		panel := make([]float32, PanelFloats(in, out))
+		PackTInto(panel, w, in, out)
 		for i := 0; i < 2; i++ { // reuse the panel like a batch loop does
 			got := make([]float32, rows*out)
-			GemmPacked(got, x, *panel, rows, in, out, opt)
+			GemmPacked(got, x, panel, rows, in, out, opt)
 			if !bitsEqual(got, want) {
-				t.Errorf("GemmPacked pass %d diverges from GemmT", i)
+				t.Errorf("GemmPacked pass %d diverges from the oracle", i)
 				firstDiff(t, got, want)
 			}
 		}
@@ -280,10 +305,10 @@ func TestNoFusedPinsTwoRounding(t *testing.T) {
 			opt := Opt{Bias: bias, Prologue: true, NoFused: true}
 			got := make([]float32, s.rows*s.out)
 			want := make([]float32, s.rows*s.out)
-			GemmT(got, x, w, s.rows, s.in, s.out, opt)
+			gemm(got, x, w, s.rows, s.in, s.out, true, nil, opt)
 			gemmTRef(want, x, w, s.rows, s.in, s.out, opt, madd)
 			if !bitsEqual(got, want) {
-				t.Errorf("NoFused GemmT %dx%dx%d diverges from two-rounding oracle", s.rows, s.in, s.out)
+				t.Errorf("NoFused gemm %dx%dx%d diverges from two-rounding oracle", s.rows, s.in, s.out)
 				firstDiff(t, got, want)
 			}
 		}

@@ -82,31 +82,3 @@ func PackNQuantInto(panel, stage, b []float32, in, out int, q QuantFunc) {
 		}
 	}
 }
-
-// GemmTQuant is GemmT with the B operand quantized through q during
-// packing (fused fake-quant): y[r,o] = Σ_k x[r,k]·q(w)[o,k] (+ bias).
-func GemmTQuant(y, x, w []float32, rows, in, out int, q QuantFunc, opt Opt) {
-	if rows <= 0 || out <= 0 {
-		return
-	}
-	pp := GetScratch(PanelFloats(in, out))
-	sp := GetScratch(QuantStageFloats(in, out))
-	PackTQuantInto(*pp, *sp, w, in, out, q)
-	run(y, x, *pp, rows, in, out, opt)
-	PutScratch(sp)
-	PutScratch(pp)
-}
-
-// GemmNQuant is GemmN with the B operand quantized through q during
-// packing: y[r,o] = Σ_k x[r,k]·q(b)[k,o] (+ bias).
-func GemmNQuant(y, x, b []float32, rows, in, out int, q QuantFunc, opt Opt) {
-	if rows <= 0 || out <= 0 {
-		return
-	}
-	pp := GetScratch(PanelFloats(in, out))
-	sp := GetScratch(QuantStageFloats(in, out))
-	PackNQuantInto(*pp, *sp, b, in, out, q)
-	run(y, x, *pp, rows, in, out, opt)
-	PutScratch(sp)
-	PutScratch(pp)
-}
